@@ -14,9 +14,12 @@ cardinalities, so surface *diffs* have the paper's shape.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+from repro.jsobject.descriptors import PropertyDescriptor
 
 # ---------------------------------------------------------------------------
 # WebGL property universe
@@ -58,6 +61,11 @@ def _generated_webgl_names(namespace: str, count: int) -> List[str]:
 
 def webgl_property_names(os_name: str) -> List[str]:
     """The WebGL property names a regular Firefox exposes on *os_name*."""
+    return list(_webgl_names(os_name))
+
+
+@functools.lru_cache(maxsize=None)
+def _webgl_names(os_name: str) -> Tuple[str, ...]:
     names = list(_REAL_WEBGL_NAMES)
     names.extend(_generated_webgl_names(
         "core", _WEBGL_CORE_COUNT - len(_REAL_WEBGL_NAMES)))
@@ -65,7 +73,7 @@ def webgl_property_names(os_name: str) -> List[str]:
         names.extend(_generated_webgl_names("macos", _WEBGL_MACOS_EXTRA))
     else:
         names.extend(_generated_webgl_names("ubuntu", _WEBGL_UBUNTU_EXTRA))
-    return names
+    return tuple(names)
 
 
 def _default_webgl_values(names: List[str], vendor: str,
@@ -125,6 +133,24 @@ class BrowserProfile:
     @property
     def has_webgl(self) -> bool:
         return self.webgl is not None
+
+    def webgl_descriptors(self) -> Dict[str, PropertyDescriptor]:
+        """The WebGL parameters as immutable data descriptors.
+
+        Fixed at the first call, like the windows built from them. When
+        ``webgl`` still equals its Firefox setup's parameters, the
+        descriptors are the ones every window of that setup shares.
+        """
+        cached = getattr(self, "_webgl_descriptors", None)
+        if cached is None:
+            if self.browser == "firefox" \
+                    and (self.os, self.mode) in _WEBGL_RENDERERS \
+                    and _firefox_webgl(self.os, self.mode) == self.webgl:
+                cached = _shared_webgl_descriptors(self.os, self.mode)
+            else:
+                cached = _data_descriptors(self.webgl or {})
+            self._webgl_descriptors = cached
+        return cached
 
 
 _DEFAULT_FONTS = [
@@ -229,8 +255,6 @@ def stock_firefox_profile(os_name: str = "ubuntu", version: int = 100,
                           ) -> BrowserProfile:
     """A human-driven Firefox on a desktop machine (the diff baseline)."""
     avail_top, avail_left = (27, 72) if os_name == "ubuntu" else (23, 0)
-    names = webgl_property_names(os_name)
-    vendor, renderer = _WEBGL_RENDERERS[(os_name, "regular")]
     return BrowserProfile(
         name=f"firefox-{os_name}",
         browser="firefox",
@@ -242,11 +266,56 @@ def stock_firefox_profile(os_name: str = "ubuntu", version: int = 100,
         window_size=(1280, 940),
         window_position=(214, 97),
         window_offset=(0, 0),
-        webgl=_default_webgl_values(names, vendor, renderer),
+        webgl=_firefox_webgl(os_name, "regular").copy(),
         fonts=list(_DEFAULT_FONTS),
         timezone_offset=-60,
         automation=False,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _firefox_webgl(os_name: str, mode: str) -> Optional[Dict[str, Any]]:
+    """The WebGL parameters of a Firefox setup; callers copy, never
+    mutate, the memoized dict.
+
+    A stock Firefox has those of the OpenWPM ``regular`` mode; headless
+    Firefox has none.
+    """
+    if mode == "headless":
+        return None  # headless Firefox lacks a WebGL implementation
+    names = _webgl_names(os_name)
+    vendor, renderer = _WEBGL_RENDERERS[(os_name, mode)]
+    webgl = _default_webgl_values(names, vendor, renderer)
+    if mode == "xvfb":
+        for name in names[10:10 + _XVFB_CHANGED]:
+            webgl[name] = "xvfb-deviation"
+        for name in names[40:40 + _XVFB_MISSING]:
+            del webgl[name]
+    elif mode == "docker":
+        # vendor/renderer rows already deviate; change more parameters
+        # until exactly _DOCKER_CHANGED properties differ.
+        already = 4  # VENDOR, RENDERER, UNMASKED_*
+        for name in names[60:60 + (_DOCKER_CHANGED - already)]:
+            webgl[name] = "vmware-deviation"
+    return webgl
+
+
+@functools.lru_cache(maxsize=None)
+def _headless_language_pollution() -> Tuple[str, ...]:
+    return tuple(f"hdl_{_stable_token('langpollution', i)}"
+                 for i in range(43))
+
+
+def _data_descriptors(values: Mapping[str, Any]
+                      ) -> Dict[str, PropertyDescriptor]:
+    return {name: PropertyDescriptor.data(value, writable=False)
+            for name, value in values.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_webgl_descriptors(os_name: str, mode: str
+                              ) -> Dict[str, PropertyDescriptor]:
+    return _data_descriptors(_firefox_webgl(os_name, mode) or {})
 
 
 def openwpm_profile(os_name: str = "ubuntu", mode: str = "regular",
@@ -266,27 +335,10 @@ def openwpm_profile(os_name: str = "ubuntu", mode: str = "regular",
     navigator = _firefox_navigator(os_name, version, automation=True)
     languages_extra: List[str] = []
     if mode == "headless":
-        languages_extra = [f"hdl_{_stable_token('langpollution', i)}"
-                           for i in range(43)]
+        languages_extra = list(_headless_language_pollution())
 
-    names = webgl_property_names(os_name)
-    webgl: Optional[Dict[str, Any]]
-    if mode == "headless":
-        webgl = None  # headless Firefox lacks a WebGL implementation
-    else:
-        vendor, renderer = _WEBGL_RENDERERS[(os_name, mode)]
-        webgl = _default_webgl_values(names, vendor, renderer)
-        if mode == "xvfb":
-            for name in names[10:10 + _XVFB_CHANGED]:
-                webgl[name] = "xvfb-deviation"
-            for name in names[40:40 + _XVFB_MISSING]:
-                del webgl[name]
-        elif mode == "docker":
-            # vendor/renderer rows already deviate; change more parameters
-            # until exactly _DOCKER_CHANGED properties differ.
-            already = 4  # VENDOR, RENDERER, UNMASKED_*
-            for name in names[60:60 + (_DOCKER_CHANGED - already)]:
-                webgl[name] = "vmware-deviation"
+    shared_webgl = _firefox_webgl(os_name, mode)
+    webgl = shared_webgl.copy() if shared_webgl is not None else None
 
     fonts = list(_DEFAULT_FONTS)
     timezone_offset = -60

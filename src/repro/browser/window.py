@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.browser.profiles import BrowserProfile
 from repro.dom.csp import ContentSecurityPolicy, CSPViolation
@@ -25,9 +25,10 @@ from repro.jsengine.interpreter import (
     Interpreter,
     Scope,
 )
-from repro.jsobject.descriptors import PropertyDescriptor
+from repro.jsobject.descriptors import LazyDescriptor, PropertyDescriptor
 from repro.jsobject.errors import JSError
-from repro.jsobject.functions import JSFunction, NativeFunction
+from repro.jsobject.functions import JSFunction, NativeAccessors, \
+    NativeFunction, NativeMethods
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import NULL, UNDEFINED
 from repro.net.http import HttpResponse, ResourceType
@@ -44,6 +45,41 @@ class ScriptExecutionError:
 
     def __repr__(self) -> str:
         return f"<ScriptExecutionError {self.script_url}: {self.message}>"
+
+
+def _noop(interp: Any, this: Any, args: List[Any]) -> Any:
+    return UNDEFINED
+
+
+def _construct_on_call(construct: Callable) -> Callable:
+    """Calling a host constructor without ``new`` constructs anyway."""
+    return lambda interp, this, args: construct(interp, args)
+
+
+class _InterfaceConstructor:
+    """Lazy-descriptor factory for one interface's constructor.
+
+    ``window.<Name>`` and ``<Name>.prototype.constructor`` share this
+    factory, so whichever is read first builds the one constructor both
+    return.
+    """
+
+    __slots__ = ("proto", "function_prototype", "constructor")
+
+    def __init__(self, proto: JSObject,
+                 function_prototype: JSObject) -> None:
+        self.proto = proto
+        self.function_prototype = function_prototype
+        self.constructor: Optional[NativeFunction] = None
+
+    def __call__(self, name: str) -> NativeFunction:
+        if self.constructor is None:
+            constructor = NativeFunction(_noop, name=name,
+                                         proto=self.function_prototype)
+            constructor.put("prototype", self.proto, writable=False,
+                            enumerable=False)
+            self.constructor = constructor
+        return self.constructor
 
 
 class BrowserWindow:
@@ -78,6 +114,9 @@ class BrowserWindow:
         self.screen_proto: Optional[JSObject] = None
         self.webgl_context: Optional[JSObject] = None
         self.context_2d: Optional[JSObject] = None
+        #: Descriptors this window shares with every window of its setup
+        #: (the WebGL parameters): immutable, non-function data.
+        self.shared_descriptors: Dict[str, PropertyDescriptor] = {}
 
         self._build_window_graph()
 
@@ -106,25 +145,13 @@ class BrowserWindow:
         self._install_frames_accessors()
 
     # ------------------------------------------------------------------
-    def _accessor(self, target: JSObject, name: str,
-                  getter: Callable[[Any, Any, List[Any]], Any],
-                  setter: Optional[Callable] = None,
-                  enumerable: bool = True) -> None:
-        get_fn = NativeFunction(getter, name=f"get {name}",
-                                proto=self.realm.function_prototype,
-                                masquerade_name=name)
-        set_fn = None
-        if setter is not None:
-            set_fn = NativeFunction(setter, name=f"set {name}",
-                                    proto=self.realm.function_prototype,
-                                    masquerade_name=name)
-        target.define_property(name, PropertyDescriptor.accessor(
-            get=get_fn, set=set_fn, enumerable=enumerable))
+    # Host functions are built on first read (LazyDescriptor); each
+    # target object gets its own factory.
+    def _accessors(self) -> NativeAccessors:
+        return NativeAccessors(self.realm.function_prototype)
 
-    def _value_accessor(self, target: JSObject, name: str, value: Any,
-                        enumerable: bool = True) -> None:
-        self._accessor(target, name, lambda i, t, a, v=value: v,
-                       enumerable=enumerable)
+    def _methods(self) -> NativeMethods:
+        return NativeMethods(self.realm.function_prototype)
 
     # ------------------------------------------------------------------
     def _install_navigator(self) -> None:
@@ -133,26 +160,24 @@ class BrowserWindow:
         self.navigator_proto = proto
         navigator = JSObject(proto=proto, class_name="Navigator")
 
+        accessors = self._accessors()
         for name, value in self.profile.navigator.items():
             if name == "languages":
                 languages = self.realm.new_array(list(value))
                 for index, extra in enumerate(self.profile.languages_extra):
                     languages.put(extra, f"pollution-{index}")
-                self._value_accessor(proto, name, languages)
+                accessors.install_value(proto, name, languages)
             else:
                 js_value = float(value) if isinstance(value, (int,)) \
                     and not isinstance(value, bool) else value
-                self._value_accessor(proto, name, js_value)
+                accessors.install_value(proto, name, js_value)
 
         def send_beacon(interp, this, args):
             target = interp.to_string(args[0]) if interp and args else ""
             self.issue_request(target, ResourceType.BEACON)
             return True
 
-        proto.put("sendBeacon",
-                  NativeFunction(send_beacon, name="sendBeacon",
-                                 proto=self.realm.function_prototype),
-                  enumerable=False)
+        self._methods().install(proto, "sendBeacon", send_beacon)
         self.window_object.put("navigator", navigator, enumerable=False)
 
     # ------------------------------------------------------------------
@@ -161,8 +186,9 @@ class BrowserWindow:
                          class_name="ScreenPrototype")
         self.screen_proto = proto
         screen = JSObject(proto=proto, class_name="Screen")
+        accessors = self._accessors()
         for name, value in self.profile.screen.items():
-            self._value_accessor(proto, name, value)
+            accessors.install_value(proto, name, value)
         self.window_object.put("screen", screen, enumerable=False)
 
     # ------------------------------------------------------------------
@@ -174,22 +200,15 @@ class BrowserWindow:
         x = base_x + offset_x * self.window_index
         y = base_y + offset_y * self.window_index
 
-        self._value_accessor(window, "innerWidth", float(width),
-                             enumerable=False)
-        self._value_accessor(window, "innerHeight", float(height),
-                             enumerable=False)
-        self._value_accessor(window, "outerWidth", float(width),
-                             enumerable=False)
-        self._value_accessor(window, "outerHeight", float(height + 85),
-                             enumerable=False)
-        self._value_accessor(window, "screenX", float(x), enumerable=False)
-        self._value_accessor(window, "screenY", float(y), enumerable=False)
-        self._value_accessor(window, "mozInnerScreenX", float(x),
-                             enumerable=False)
-        self._value_accessor(window, "mozInnerScreenY", float(y),
-                             enumerable=False)
-        self._value_accessor(window, "devicePixelRatio", 1.0,
-                             enumerable=False)
+        accessors = self._accessors()
+        for name, value in (("innerWidth", width), ("innerHeight", height),
+                            ("outerWidth", width),
+                            ("outerHeight", height + 85),
+                            ("screenX", x), ("screenY", y),
+                            ("mozInnerScreenX", x), ("mozInnerScreenY", y),
+                            ("devicePixelRatio", 1)):
+            accessors.install_value(window, name, float(value),
+                                    enumerable=False)
 
     # ------------------------------------------------------------------
     def _install_timers(self) -> None:
@@ -210,22 +229,12 @@ class BrowserWindow:
                 self.browser.cancel_scheduled(int(args[0]))
             return UNDEFINED
 
-        window.put("setTimeout",
-                   NativeFunction(set_timeout, name="setTimeout",
-                                  proto=self.realm.function_prototype),
-                   enumerable=False)
-        window.put("setInterval",
-                   NativeFunction(set_timeout, name="setInterval",
-                                  proto=self.realm.function_prototype),
-                   enumerable=False)
-        window.put("clearTimeout",
-                   NativeFunction(clear_timeout, name="clearTimeout",
-                                  proto=self.realm.function_prototype),
-                   enumerable=False)
-        window.put("clearInterval",
-                   NativeFunction(clear_timeout, name="clearInterval",
-                                  proto=self.realm.function_prototype),
-                   enumerable=False)
+        methods = self._methods()
+        for name, fn in (("setTimeout", set_timeout),
+                         ("setInterval", set_timeout),
+                         ("clearTimeout", clear_timeout),
+                         ("clearInterval", clear_timeout)):
+            methods.install(window, name, fn)
 
     def _run_callback(self, fn: JSFunction) -> None:
         try:
@@ -242,10 +251,6 @@ class BrowserWindow:
             target = interp.to_string(args[0]) if interp and args else ""
             response = self.issue_request(target, ResourceType.XHR)
             return self._make_fetch_response(response)
-
-        window.put("fetch", NativeFunction(
-            fetch, name="fetch", proto=self.realm.function_prototype),
-            enumerable=False)
 
         def make_xhr(interp, args):
             xhr = JSObject(proto=self.realm.object_prototype,
@@ -276,19 +281,9 @@ class BrowserWindow:
                 xhr_send, name="send", proto=self.realm.function_prototype))
             return xhr
 
-        window.put("XMLHttpRequest", NativeFunction(
-            lambda interp, this, args: make_xhr(interp, args),
-            name="XMLHttpRequest", proto=self.realm.function_prototype,
-            constructor=make_xhr), enumerable=False)
-
         def make_image(interp, args):
             img = self.document.create_element("img")
             return img
-
-        window.put("Image", NativeFunction(
-            lambda interp, this, args: make_image(interp, args),
-            name="Image", proto=self.realm.function_prototype,
-            constructor=make_image), enumerable=False)
 
         def make_websocket(interp, args):
             target = interp.to_string(args[0]) if interp and args else ""
@@ -308,10 +303,13 @@ class BrowserWindow:
                                ResourceType.WEBSOCKET)
             return socket
 
-        window.put("WebSocket", NativeFunction(
-            lambda interp, this, args: make_websocket(interp, args),
-            name="WebSocket", proto=self.realm.function_prototype,
-            constructor=make_websocket), enumerable=False)
+        methods = self._methods()
+        methods.install(window, "fetch", fetch)
+        for name, construct in (("XMLHttpRequest", make_xhr),
+                                ("Image", make_image),
+                                ("WebSocket", make_websocket)):
+            methods.install(window, name, _construct_on_call(construct),
+                            constructor=construct)
 
     def _make_fetch_response(self, response: Optional[HttpResponse]
                              ) -> JSObject:
@@ -371,18 +369,12 @@ class BrowserWindow:
             return self.run_script(source, script_url=f"{self.url}#eval",
                                    raise_errors=True, via_eval=True)
 
-        window.put("eval", NativeFunction(
-            js_eval, name="eval", proto=self.realm.function_prototype),
-            enumerable=False)
 
         def window_open(interp, this, args):
             target = interp.to_string(args[0]) if interp and args else ""
             popup = self.browser.open_popup(target, opener=self)
             return popup.window_object if popup is not None else NULL
 
-        window.put("open", NativeFunction(
-            window_open, name="open", proto=self.realm.function_prototype),
-            enumerable=False)
 
         def btoa(interp, this, args):
             text = interp.to_string(args[0]) if interp and args else ""
@@ -395,12 +387,10 @@ class BrowserWindow:
             except Exception as exc:  # noqa: BLE001 - surfaced as DOM error
                 raise JSError.type_error(f"atob: invalid input: {exc}")
 
-        window.put("btoa", NativeFunction(
-            btoa, name="btoa", proto=self.realm.function_prototype),
-            enumerable=False)
-        window.put("atob", NativeFunction(
-            atob, name="atob", proto=self.realm.function_prototype),
-            enumerable=False)
+        methods = self._methods()
+        for name, fn in (("eval", js_eval), ("open", window_open),
+                         ("btoa", btoa), ("atob", atob)):
+            methods.install(window, name, fn)
 
         # location
         location = JSObject(proto=self.realm.object_prototype,
@@ -425,9 +415,7 @@ class BrowserWindow:
             family = spec.split("px", 1)[-1].strip().strip('"\'')
             return family in available
 
-        fonts.put("check", NativeFunction(
-            fonts_check, name="check", proto=self.realm.function_prototype),
-            enumerable=False)
+        self._methods().install(fonts, "check", fonts_check)
         self.document.put("fonts", fonts, enumerable=False)
 
         # Date (only what fingerprinting needs: timezone + clock)
@@ -471,12 +459,9 @@ class BrowserWindow:
                     else str(args[1])
             return UNDEFINED
 
-        storage.put("getItem", NativeFunction(
-            get_item, name="getItem", proto=self.realm.function_prototype),
-            enumerable=False)
-        storage.put("setItem", NativeFunction(
-            set_item, name="setItem", proto=self.realm.function_prototype),
-            enumerable=False)
+        methods = self._methods()
+        methods.install(storage, "getItem", get_item)
+        methods.install(storage, "setItem", set_item)
         window.put("localStorage", storage, enumerable=False)
 
         self._install_canvas_contexts()
@@ -485,24 +470,27 @@ class BrowserWindow:
     # ------------------------------------------------------------------
     def _make_interface(self, name: str,
                         parent_proto: Optional[JSObject] = None
-                        ) -> "tuple[NativeFunction, JSObject]":
-        """Create a DOM-style interface: constructor + prototype pair."""
+                        ) -> JSObject:
+        """Create a DOM-style interface: constructor + prototype pair.
+
+        Returns the prototype; the constructor is built on first read of
+        ``window.<name>`` or ``<name>.prototype.constructor``.
+        """
         proto = JSObject(
             proto=parent_proto or self.realm.object_prototype,
             class_name=f"{name}Prototype")
-        constructor = NativeFunction(
-            lambda interp, this, args: UNDEFINED, name=name,
-            proto=self.realm.function_prototype)
-        constructor.put("prototype", proto, writable=False, enumerable=False)
-        proto.put("constructor", constructor, enumerable=False)
-        self.window_object.put(name, constructor, enumerable=False)
-        return constructor, proto
+        constructor = _InterfaceConstructor(
+            proto, self.realm.function_prototype)
+        proto.properties["constructor"] = LazyDescriptor(
+            constructor, name, False, enumerable=False)
+        self.window_object.properties[name] = LazyDescriptor(
+            constructor, name, False, enumerable=False)
+        return proto
 
     def _put_noop_methods(self, proto: JSObject, names: List[str]) -> None:
+        methods = self._methods()
         for method_name in names:
-            proto.put(method_name, NativeFunction(
-                lambda i, t, a: UNDEFINED, name=method_name,
-                proto=self.realm.function_prototype), enumerable=False)
+            methods.install(proto, method_name, _noop)
 
     def _install_canvas_contexts(self) -> None:
         from repro.browser.api_surface import (
@@ -517,7 +505,7 @@ class BrowserWindow:
         # instrument wraps the same method surface everywhere (Table 2's
         # tampering count is mode-independent). The ~2k parameter
         # constants only exist where a real implementation backs them.
-        _, webgl_proto = self._make_interface("WebGLRenderingContext",
+        webgl_proto = self._make_interface("WebGLRenderingContext",
                                               self.dom.event_target)
         self._put_noop_methods(
             webgl_proto,
@@ -525,14 +513,9 @@ class BrowserWindow:
              if m not in ("getParameter", "getExtension")])
         if profile.webgl is not None:
             # The ~2k WebGL parameters are identical for every window of
-            # a profile; share immutable data descriptors across windows.
-            shared = getattr(profile, "_webgl_descriptors", None)
-            if shared is None:
-                shared = {
-                    name: PropertyDescriptor.data(value, writable=False)
-                    for name, value in profile.webgl.items()}
-                profile._webgl_descriptors = shared
-            webgl_proto.properties.update(shared)
+            # a setup; windows share immutable data descriptors.
+            self.shared_descriptors = profile.webgl_descriptors()
+            webgl_proto.properties.update(self.shared_descriptors)
             context = JSObject(proto=webgl_proto,
                                class_name="WebGLRenderingContext")
 
@@ -550,12 +533,9 @@ class BrowserWindow:
                     return info
                 return NULL
 
-            webgl_proto.put("getParameter", NativeFunction(
-                get_parameter, name="getParameter",
-                proto=self.realm.function_prototype), enumerable=False)
-            webgl_proto.put("getExtension", NativeFunction(
-                get_extension, name="getExtension",
-                proto=self.realm.function_prototype), enumerable=False)
+            methods = self._methods()
+            methods.install(webgl_proto, "getParameter", get_parameter)
+            methods.install(webgl_proto, "getExtension", get_extension)
             self.webgl_context = context
         else:
             self._put_noop_methods(webgl_proto,
@@ -564,7 +544,7 @@ class BrowserWindow:
 
         # 2D context: real font measurement (enumeration channel) plus the
         # full method surface the instrument wraps.
-        _, context_2d_proto = self._make_interface("CanvasRenderingContext2D")
+        context_2d_proto = self._make_interface("CanvasRenderingContext2D")
         self._put_noop_methods(
             context_2d_proto,
             [m for m in CANVAS_2D_METHODS if m != "measureText"])
@@ -588,13 +568,12 @@ class BrowserWindow:
             metrics.put("width", width)
             return metrics
 
-        context_2d_proto.put("measureText", NativeFunction(
-            measure_text, name="measureText",
-            proto=self.realm.function_prototype), enumerable=False)
+        self._methods().install(context_2d_proto, "measureText",
+                                measure_text)
         self.context_2d = context_2d
 
         # Audio fingerprinting surface.
-        _, audio_proto = self._make_interface("OfflineAudioContext",
+        audio_proto = self._make_interface("OfflineAudioContext",
                                               self.dom.event_target)
         self._put_noop_methods(audio_proto, AUDIO_METHODS)
         audio_proto.put("sampleRate", 44100.0, enumerable=False)
@@ -605,21 +584,20 @@ class BrowserWindow:
             PERFORMANCE_METHODS,
         )
 
-        _, performance_proto = self._make_interface("Performance",
+        performance_proto = self._make_interface("Performance",
                                                     self.dom.event_target)
         self._put_noop_methods(
             performance_proto,
             [m for m in PERFORMANCE_METHODS if m != "now"])
-        performance_proto.put("now", NativeFunction(
-            lambda i, t, a: self.browser.current_time * 1000.0,
-            name="now", proto=self.realm.function_prototype),
-            enumerable=False)
+        self._methods().install(
+            performance_proto, "now",
+            lambda i, t, a: self.browser.current_time * 1000.0)
         performance = JSObject(proto=performance_proto,
                                class_name="Performance")
         performance.put("timeOrigin", 0.0, enumerable=False)
         self.window_object.put("performance", performance, enumerable=False)
 
-        _, history_proto = self._make_interface("History")
+        history_proto = self._make_interface("History")
         self._put_noop_methods(history_proto, HISTORY_METHODS)
         history = JSObject(proto=history_proto, class_name="History")
         history.put("length", 1.0, enumerable=False)
@@ -633,8 +611,9 @@ class BrowserWindow:
             return self.realm.new_array([
                 frame.window_object for frame in self.child_frames])
 
-        self._accessor(window, "frames", frames_getter, enumerable=False)
-        self._value_accessor(
+        accessors = self._accessors()
+        accessors.install(window, "frames", frames_getter, enumerable=False)
+        accessors.install_value(
             window, "top",
             self.top_window().window_object
             if self.parent is not None else window, enumerable=False)

@@ -86,7 +86,6 @@ def run_csp_blocking_attack(profile: Optional[BrowserProfile] = None,
         succeeded=not probe_recorded,
         recorded_symbols=symbols,
         csp_reports=len(reports),
-        inline_scripts_blocked=bool(extension.js_instrument.failed_windows)
-        if hasattr(extension.js_instrument, "failed_windows") else False,
+        inline_scripts_blocked=bool(extension.js_instrument.blocked_urls),
         details=f"{len(reports)} csp_report request(s); "
                 f"probe recorded: {probe_recorded}")

@@ -286,11 +286,11 @@ class PairedCrawl:
             data.per_site_tracker_requests[domain] = sum(
                 1 for r in extension.http_instrument.records
                 if matcher.matches_any(r.url))
-            if extension.js_instrument.failed_windows:
+            if extension.js_instrument.blocked_urls:
                 data.failed_hook_sites += 1
                 tm.metrics.counter("paired_hook_failures",
                                    client=label).inc()
-                extension.js_instrument.failed_windows.clear()
+                extension.js_instrument.blocked_urls.clear()
 
         # Both clients must see the sites in the same order (lockstep),
         # so the run drains an in-memory scheduler with one worker —

@@ -66,7 +66,7 @@ class DebuggerJSInstrument:
         self.hide_webdriver = hide_webdriver
         self.records: List[JSCallRecord] = []
         self.install_counts: Dict[int, int] = {}
-        self.failed_windows: List[Any] = []  # interface parity; stays empty
+        self.blocked_urls: List[str] = []  # interface parity; stays empty
         self._hooked_windows: Set[int] = set()
 
     # ------------------------------------------------------------------

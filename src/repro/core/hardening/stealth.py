@@ -63,7 +63,7 @@ class StealthJSInstrument:
         self.install_counts: Dict[int, int] = {}
         #: Kept for interface parity with JSInstrument; stays empty —
         #: installation cannot be blocked by page policy.
-        self.failed_windows: List[Any] = []
+        self.blocked_urls: List[str] = []
         self.frames_instrumented = 0
 
     # ==================================================================

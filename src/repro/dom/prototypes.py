@@ -20,9 +20,9 @@ from repro.dom.document import Document
 from repro.dom.events import DOMEvent
 from repro.dom.node import Element, IFrameElement
 from repro.jsengine.builtins import Realm
-from repro.jsobject.descriptors import PropertyDescriptor
 from repro.jsobject.errors import JSError
-from repro.jsobject.functions import NativeFunction
+from repro.jsobject.functions import NativeAccessors, NativeFunction, \
+    NativeMethods
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import NULL, UNDEFINED
 
@@ -72,20 +72,15 @@ class DOMPrototypes:
     def proto_for_tag(self, tag: str) -> JSObject:
         return self.per_tag.get(tag.lower(), self.html_element)
 
-    def _native(self, name: str, fn) -> NativeFunction:
-        return NativeFunction(fn, name=name,
-                              proto=self.realm.function_prototype)
+    def _methods(self, target: JSObject, methods) -> None:
+        """Non-enumerable methods, each built on first read."""
+        factory = NativeMethods(self.realm.function_prototype)
+        for name, fn in methods:
+            factory.install(target, name, fn)
 
-    def _accessor(self, target: JSObject, name: str, getter, setter=None,
-                  enumerable: bool = True) -> None:
-        get_fn = self._native(f"get {name}", getter)
-        get_fn.masquerade_name = name
-        set_fn = None
-        if setter is not None:
-            set_fn = self._native(f"set {name}", setter)
-            set_fn.masquerade_name = name
-        target.define_property(name, PropertyDescriptor.accessor(
-            get=get_fn, set=set_fn, enumerable=enumerable))
+    def _accessors(self) -> NativeAccessors:
+        """A factory for one target's accessors, each built on first read."""
+        return NativeAccessors(self.realm.function_prototype)
 
     # ------------------------------------------------------------------
     def _install_event_target(self) -> None:
@@ -121,15 +116,9 @@ class DOMPrototypes:
                 return this.host_dispatch(event, interp)
             return False
 
-        proto.put("addEventListener",
-                  self._native("addEventListener", add_event_listener),
-                  enumerable=False)
-        proto.put("removeEventListener",
-                  self._native("removeEventListener", remove_event_listener),
-                  enumerable=False)
-        proto.put("dispatchEvent",
-                  self._native("dispatchEvent", dispatch_event),
-                  enumerable=False)
+        self._methods(proto, [("addEventListener", add_event_listener),
+                              ("removeEventListener", remove_event_listener),
+                              ("dispatchEvent", dispatch_event)])
 
     # ------------------------------------------------------------------
     def _install_node(self) -> None:
@@ -159,12 +148,9 @@ class DOMPrototypes:
                            for descendant in this.descendants())
             return False
 
-        proto.put("appendChild", self._native("appendChild", append_child),
-                  enumerable=False)
-        proto.put("removeChild", self._native("removeChild", remove_child),
-                  enumerable=False)
-        proto.put("contains", self._native("contains", contains),
-                  enumerable=False)
+        self._methods(proto, [("appendChild", append_child),
+                              ("removeChild", remove_child),
+                              ("contains", contains)])
 
     # ------------------------------------------------------------------
     def _install_element(self) -> None:
@@ -189,11 +175,9 @@ class DOMPrototypes:
                 this.remove()
             return UNDEFINED
 
-        proto.put("setAttribute", self._native("setAttribute", set_attribute),
-                  enumerable=False)
-        proto.put("getAttribute", self._native("getAttribute", get_attribute),
-                  enumerable=False)
-        proto.put("remove", self._native("remove", remove), enumerable=False)
+        self._methods(proto, [("setAttribute", set_attribute),
+                              ("getAttribute", get_attribute),
+                              ("remove", remove)])
 
         def element_getter(attr: str, default: Any = ""):
             def getter(interp, this, args):
@@ -222,16 +206,17 @@ class DOMPrototypes:
                                 value, ResourceType.IMAGE)
             return setter
 
-        self._accessor(self.html_element, "id", element_getter("id"),
-                       element_setter("id"))
-        self._accessor(self.html_element, "className",
-                       element_getter("class"), element_setter("class"))
-        self._accessor(self.html_element, "src", element_getter("src"),
-                       element_setter("src"))
-        self._accessor(self.html_element, "href", element_getter("href"),
-                       element_setter("href"))
-        self._accessor(self.html_element, "type", element_getter("type"),
-                       element_setter("type"))
+        accessors = self._accessors()
+        accessors.install(self.html_element, "id", element_getter("id"),
+                          element_setter("id"))
+        accessors.install(self.html_element, "className",
+                          element_getter("class"), element_setter("class"))
+        accessors.install(self.html_element, "src", element_getter("src"),
+                          element_setter("src"))
+        accessors.install(self.html_element, "href", element_getter("href"),
+                          element_setter("href"))
+        accessors.install(self.html_element, "type", element_getter("type"),
+                          element_setter("type"))
 
         def text_getter(interp, this, args):
             if isinstance(this, Element):
@@ -243,9 +228,9 @@ class DOMPrototypes:
                 this.text_content = interp.to_string(args[0]) if interp \
                     else str(args[0])
 
-        self._accessor(self.html_element, "textContent", text_getter,
-                       text_setter)
-        self._accessor(self.html_element, "text", text_getter, text_setter)
+        accessors.install(self.html_element, "textContent", text_getter,
+                          text_setter)
+        accessors.install(self.html_element, "text", text_getter, text_setter)
 
         def inner_html_getter(interp, this, args):
             if isinstance(this, Element):
@@ -265,8 +250,8 @@ class DOMPrototypes:
                 element.text_content = parsed.text
                 this.append_child(element, interp)
 
-        self._accessor(self.html_element, "innerHTML", inner_html_getter,
-                       inner_html_setter)
+        accessors.install(self.html_element, "innerHTML", inner_html_getter,
+                          inner_html_setter)
 
     # ------------------------------------------------------------------
     def _install_iframe(self) -> None:
@@ -284,8 +269,9 @@ class DOMPrototypes:
                 return this.content_window.document
             return NULL
 
-        self._accessor(proto, "contentWindow", content_window)
-        self._accessor(proto, "contentDocument", content_document)
+        accessors = self._accessors()
+        accessors.install(proto, "contentWindow", content_window)
+        accessors.install(proto, "contentDocument", content_document)
 
     # ------------------------------------------------------------------
     def _install_canvas(self) -> None:
@@ -302,8 +288,7 @@ class DOMPrototypes:
                 return context if context is not None else NULL
             return NULL
 
-        proto.put("getContext", self._native("getContext", get_context),
-                  enumerable=False)
+        self._methods(proto, [("getContext", get_context)])
 
     # ------------------------------------------------------------------
     def _install_document(self) -> None:
@@ -347,34 +332,27 @@ class DOMPrototypes:
                 document.write(html, interp)
             return UNDEFINED
 
-        proto.put("createElement",
-                  self._native("createElement", create_element),
-                  enumerable=False)
-        proto.put("getElementById",
-                  self._native("getElementById", get_element_by_id),
-                  enumerable=False)
-        proto.put("querySelector",
-                  self._native("querySelector", query_selector),
-                  enumerable=False)
-        proto.put("querySelectorAll",
-                  self._native("querySelectorAll", query_selector_all),
-                  enumerable=False)
-        proto.put("write", self._native("write", write), enumerable=False)
+        self._methods(proto, [("createElement", create_element),
+                              ("getElementById", get_element_by_id),
+                              ("querySelector", query_selector),
+                              ("querySelectorAll", query_selector_all),
+                              ("write", write)])
 
-        self._accessor(proto, "body",
-                       lambda interp, this, args:
-                       this.body if isinstance(this, Document) else NULL)
-        self._accessor(proto, "head",
-                       lambda interp, this, args:
-                       this.head if isinstance(this, Document) else NULL)
-        self._accessor(proto, "documentElement",
-                       lambda interp, this, args:
-                       this.document_element
-                       if isinstance(this, Document) else NULL)
-        self._accessor(proto, "readyState",
-                       lambda interp, this, args:
-                       this.ready_state if isinstance(this, Document)
-                       else "loading")
+        accessors = self._accessors()
+        accessors.install(proto, "body",
+                          lambda interp, this, args:
+                          this.body if isinstance(this, Document) else NULL)
+        accessors.install(proto, "head",
+                          lambda interp, this, args:
+                          this.head if isinstance(this, Document) else NULL)
+        accessors.install(proto, "documentElement",
+                          lambda interp, this, args:
+                          this.document_element
+                          if isinstance(this, Document) else NULL)
+        accessors.install(proto, "readyState",
+                          lambda interp, this, args:
+                          this.ready_state if isinstance(this, Document)
+                          else "loading")
 
         def cookie_getter(interp, this, args):
             if isinstance(this, Document):
@@ -386,7 +364,7 @@ class DOMPrototypes:
                 this.set_cookie(interp.to_string(args[0]) if interp
                                 else str(args[0]))
 
-        self._accessor(proto, "cookie", cookie_getter, cookie_setter)
+        accessors.install(proto, "cookie", cookie_getter, cookie_setter)
 
     # ------------------------------------------------------------------
     def make_event_constructor(self) -> NativeFunction:

@@ -10,16 +10,39 @@ instrumentation-bypass attack (paper Sec. 5.4.1).
 
 from __future__ import annotations
 
+import functools
 import json as _json
 import math
 import random
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.jsobject.descriptors import PropertyDescriptor
+from repro.jsobject.descriptors import LazyDescriptor, PropertyDescriptor
 from repro.jsobject.errors import JSError
-from repro.jsobject.functions import JSFunction, NativeFunction
+from repro.jsobject.functions import JSFunction, NativeFunction, \
+    NativeMethods
 from repro.jsobject.objects import JSArray, JSObject
 from repro.jsobject.values import NULL, UNDEFINED, format_number, js_truthy
+
+
+class _Builders:
+    """Lazy-descriptor factory for a realm's constructors and namespaces.
+
+    Each entry is built by a zero-argument builder on first read.
+    """
+
+    __slots__ = ("builders",)
+
+    def __init__(self) -> None:
+        self.builders: Dict[str, Callable[[], Any]] = {}
+
+    def install(self, target: JSObject, name: str,
+                build: Callable[[], Any]) -> None:
+        self.builders[name] = build
+        target.properties[name] = LazyDescriptor(self, name, False,
+                                                 enumerable=False)
+
+    def __call__(self, name: str) -> Any:
+        return self.builders[name]()
 
 
 class Realm:
@@ -55,6 +78,13 @@ class Realm:
                fn: Callable[[Any, Any, List[Any]], Any]) -> NativeFunction:
         return NativeFunction(fn, name=name, proto=self.function_prototype)
 
+    def _install_methods(self, target: JSObject,
+                         methods: List[Any]) -> None:
+        """Non-enumerable methods, each built on first read."""
+        factory = NativeMethods(self.function_prototype)
+        for name, fn in methods:
+            factory.install(target, name, fn)
+
     # ------------------------------------------------------------------
     # Object.prototype
     # ------------------------------------------------------------------
@@ -88,14 +118,9 @@ class Realm:
                 proto_walker = proto_walker.proto
             return False
 
-        proto.put("hasOwnProperty", self.native("hasOwnProperty",
-                                                has_own_property),
-                  enumerable=False)
-        proto.put("toString", self.native("toString", to_string),
-                  enumerable=False)
-        proto.put("isPrototypeOf", self.native("isPrototypeOf",
-                                               is_prototype_of),
-                  enumerable=False)
+        self._install_methods(proto, [("hasOwnProperty", has_own_property),
+                                      ("toString", to_string),
+                                      ("isPrototypeOf", is_prototype_of)])
 
     # ------------------------------------------------------------------
     # Function.prototype
@@ -138,11 +163,9 @@ class Realm:
                 return this.to_source_string()
             raise JSError.type_error("toString called on non-function")
 
-        proto.put("call", self.native("call", fn_call), enumerable=False)
-        proto.put("apply", self.native("apply", fn_apply), enumerable=False)
-        proto.put("bind", self.native("bind", fn_bind), enumerable=False)
-        proto.put("toString", self.native("toString", fn_to_string),
-                  enumerable=False)
+        self._install_methods(proto, [("call", fn_call), ("apply", fn_apply),
+                                      ("bind", fn_bind),
+                                      ("toString", fn_to_string)])
 
     # ------------------------------------------------------------------
     # Array.prototype
@@ -311,15 +334,14 @@ class Realm:
                     key=lambda v: interp.to_string(v) if interp else str(v))
             return arr
 
-        for name, fn in [("push", push), ("pop", pop), ("shift", shift),
-                         ("indexOf", index_of), ("includes", includes),
-                         ("join", join), ("slice", slice),
-                         ("concat", concat), ("forEach", for_each),
-                         ("map", array_map), ("filter", array_filter),
-                         ("some", array_some), ("every", array_every),
-                         ("find", array_find), ("reduce", array_reduce),
-                         ("reverse", array_reverse), ("sort", array_sort)]:
-            proto.put(name, self.native(name, fn), enumerable=False)
+        self._install_methods(proto, [
+            ("push", push), ("pop", pop), ("shift", shift),
+            ("indexOf", index_of), ("includes", includes), ("join", join),
+            ("slice", slice), ("concat", concat), ("forEach", for_each),
+            ("map", array_map), ("filter", array_filter),
+            ("some", array_some), ("every", array_every),
+            ("find", array_find), ("reduce", array_reduce),
+            ("reverse", array_reverse), ("sort", array_sort)])
 
     # ------------------------------------------------------------------
     # Globals
@@ -330,19 +352,19 @@ class Realm:
         g.put("NaN", math.nan, writable=False, enumerable=False)
         g.put("Infinity", math.inf, writable=False, enumerable=False)
 
-        g.put("Object", self._make_object_constructor(), enumerable=False)
-        g.put("Array", self._make_array_constructor(), enumerable=False)
+        # Constructors and namespaces are built on first read.
+        builders = _Builders()
+        builders.install(g, "Object", self._make_object_constructor)
+        builders.install(g, "Array", self._make_array_constructor)
         for kind in ("Error", "TypeError", "RangeError", "ReferenceError",
                      "SyntaxError"):
-            g.put(kind, self._make_error_constructor(kind), enumerable=False)
-        g.put("Math", self._make_math(), enumerable=False)
-        g.put("JSON", self._make_json(), enumerable=False)
-        g.put("console", self._make_console(), enumerable=False)
-        g.put("String", self._make_string_constructor(), enumerable=False)
-        g.put("Number", self._make_number_constructor(), enumerable=False)
-        g.put("Boolean", self.native(
-            "Boolean", lambda i, t, a: js_truthy(a[0]) if a else False),
-            enumerable=False)
+            builders.install(g, kind, functools.partial(
+                self._make_error_constructor, kind))
+        builders.install(g, "Math", self._make_math)
+        builders.install(g, "JSON", self._make_json)
+        builders.install(g, "console", self._make_console)
+        builders.install(g, "String", self._make_string_constructor)
+        builders.install(g, "Number", self._make_number_constructor)
 
         def parse_int(interp, this, args):
             text = _arg_string(interp, args, 0).strip()
@@ -374,14 +396,11 @@ class Realm:
                     end -= 1
             return math.nan
 
-        g.put("parseInt", self.native("parseInt", parse_int),
-              enumerable=False)
-        g.put("parseFloat", self.native("parseFloat", parse_float),
-              enumerable=False)
-        g.put("isNaN", self.native(
-            "isNaN",
-            lambda i, t, a: math.isnan(i.to_number(a[0]) if i else 0.0)
-            if a else True), enumerable=False)
+        self._install_methods(g, [
+            ("Boolean", lambda i, t, a: js_truthy(a[0]) if a else False),
+            ("parseInt", parse_int), ("parseFloat", parse_float),
+            ("isNaN", lambda i, t, a: math.isnan(
+                i.to_number(a[0]) if i else 0.0) if a else True)])
 
     def _make_object_constructor(self) -> NativeFunction:
         def object_call(interp, this, args):
@@ -477,20 +496,25 @@ class Realm:
             obj = args[0] if args else UNDEFINED
             if isinstance(obj, JSObject):
                 obj.extensible = False
-                for desc in obj.properties.values():
-                    desc.writable = False
-                    desc.configurable = False
+                properties = obj.properties
+                for name, desc in list(properties.items()):
+                    if desc.writable or desc.configurable:
+                        # Freeze a copy: descriptors may be shared across
+                        # realms (the WebGL parameters of a setup).
+                        frozen = desc.copy()
+                        frozen.writable = False
+                        frozen.configurable = False
+                        properties[name] = frozen
             return obj
 
-        for name, fn in [("keys", keys),
-                         ("getOwnPropertyNames", get_own_property_names),
-                         ("defineProperty", define_property),
-                         ("getOwnPropertyDescriptor",
-                          get_own_property_descriptor),
-                         ("getPrototypeOf", get_prototype_of),
-                         ("create", create),
-                         ("freeze", freeze)]:
-            constructor.put(name, self.native(name, fn), enumerable=False)
+        self._install_methods(constructor, [
+            ("keys", keys),
+            ("getOwnPropertyNames", get_own_property_names),
+            ("defineProperty", define_property),
+            ("getOwnPropertyDescriptor", get_own_property_descriptor),
+            ("getPrototypeOf", get_prototype_of),
+            ("create", create),
+            ("freeze", freeze)])
         return constructor
 
     def _make_array_constructor(self) -> NativeFunction:
@@ -627,8 +651,9 @@ class Realm:
             self.console_log.append(rendered)
             return UNDEFINED
 
-        for name in ("log", "warn", "error", "info", "debug"):
-            console.put(name, self.native(name, log), enumerable=False)
+        self._install_methods(console, [
+            (name, log) for name in ("log", "warn", "error", "info",
+                                     "debug")])
         return console
 
     def _make_string_constructor(self) -> NativeFunction:

@@ -17,8 +17,9 @@ variant installs native-looking exported functions instead
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.jsobject.descriptors import LazyDescriptor
 from repro.jsobject.objects import JSObject
 
 
@@ -89,3 +90,81 @@ def native_function(name: str = "") -> Callable:
         return NativeFunction(fn, name=name or fn.__name__)
 
     return wrap
+
+
+# ---------------------------------------------------------------------------
+# Lazy host functions
+# ---------------------------------------------------------------------------
+HostFn = Callable[[Any, Any, List[Any]], Any]
+
+
+class NativeMethods:
+    """Lazy-descriptor factory for the host methods of one object.
+
+    :meth:`install` defines a method property at its final position; its
+    :class:`NativeFunction` is built the first time the descriptor's
+    value is read (see :class:`LazyDescriptor`).
+    """
+
+    __slots__ = ("function_prototype", "impls", "constructors")
+
+    def __init__(self, function_prototype: Optional[JSObject]) -> None:
+        self.function_prototype = function_prototype
+        self.impls: Dict[str, HostFn] = {}
+        self.constructors: Dict[str, Callable[[Any, List[Any]], Any]] = {}
+
+    def install(self, target: JSObject, name: str, fn: HostFn,
+                constructor: Optional[Callable[[Any, List[Any]], Any]]
+                = None, enumerable: bool = False) -> None:
+        self.impls[name] = fn
+        if constructor is not None:
+            self.constructors[name] = constructor
+        target.properties[name] = LazyDescriptor(self, name, False,
+                                                 enumerable=enumerable)
+
+    def __call__(self, name: str) -> NativeFunction:
+        return NativeFunction(self.impls[name], name=name,
+                              proto=self.function_prototype,
+                              constructor=self.constructors.get(name))
+
+
+class NativeAccessors:
+    """Lazy-descriptor factory for the host accessors of one object.
+
+    The getter (and optional setter) of each property is a
+    :class:`NativeFunction` named ``get <name>``/``set <name>`` whose
+    ``toString`` shows the bare property name, built on first read.
+    """
+
+    __slots__ = ("function_prototype", "getters", "setters")
+
+    def __init__(self, function_prototype: Optional[JSObject]) -> None:
+        self.function_prototype = function_prototype
+        self.getters: Dict[str, HostFn] = {}
+        self.setters: Dict[str, HostFn] = {}
+
+    def install(self, target: JSObject, name: str, getter: HostFn,
+                setter: Optional[HostFn] = None,
+                enumerable: bool = True) -> None:
+        self.getters[name] = getter
+        if setter is not None:
+            self.setters[name] = setter
+        target.properties[name] = LazyDescriptor(self, name, True,
+                                                 enumerable=enumerable)
+
+    def install_value(self, target: JSObject, name: str, value: Any,
+                      enumerable: bool = True) -> None:
+        """A getter-only accessor that always returns *value*."""
+        self.install(target, name, lambda i, t, a: value,
+                     enumerable=enumerable)
+
+    def __call__(self, name: str
+                 ) -> Tuple[NativeFunction, Optional[NativeFunction]]:
+        proto = self.function_prototype
+        get_fn = NativeFunction(self.getters[name], name=f"get {name}",
+                                proto=proto, masquerade_name=name)
+        setter = self.setters.get(name)
+        if setter is None:
+            return get_fn, None
+        return get_fn, NativeFunction(setter, name=f"set {name}",
+                                      proto=proto, masquerade_name=name)

@@ -25,13 +25,15 @@ How the real instrument works — and what this module reproduces:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.jsengine.builtins import js_to_python
 from repro.jsengine.interpreter import Scope, ScriptFunction
 from repro.jsengine.parser import parse
-from repro.jsobject.descriptors import PropertyDescriptor
+from repro.jsobject.descriptors import LazyDescriptor, PropertyDescriptor
 from repro.jsobject.functions import JSFunction, NativeFunction
 from repro.jsobject.objects import JSObject
 from repro.jsobject.values import UNDEFINED
@@ -167,6 +169,113 @@ class JSCallRecord:
     document_url: str
 
 
+def _candidates(properties: Dict[str, PropertyDescriptor],
+                shared: Optional[Dict[str, PropertyDescriptor]]
+                ) -> List[Tuple[str, PropertyDescriptor]]:
+    """The ``(name, descriptor)`` pairs of *properties*, in order.
+
+    Entries still identical to one of the window's *shared* descriptors
+    (the ~2k WebGL parameters: immutable non-function data, never
+    wrapped by a methods-only target) are dropped without a per-key
+    Python step.
+    """
+    if not shared:
+        return list(properties.items())
+    names = list(properties)
+    keep = map(operator.is_not, map(shared.get, names), properties.values())
+    return [(name, properties[name]) for name in compress(names, keep)]
+
+
+def _holds_function(desc: PropertyDescriptor) -> bool:
+    # Lazy data entries always hold functions; reading one would build it.
+    return type(desc) is LazyDescriptor or isinstance(desc.value, JSFunction)
+
+
+class _WrapperFactory:
+    """Builds one instrumented target's wrappers on first touch.
+
+    ``originals`` maps each installed key to the descriptor it wraps.
+    Calling the factory with a key builds that key's get/set wrappers
+    exactly as the injected instrumentation defines them: script-level
+    functions closing over the injected scope, created under the
+    instrumentation's script URL.
+    """
+
+    __slots__ = ("interp", "scope", "function_prototype", "object_name",
+                 "originals")
+
+    def __init__(self, window: Any, scope: Scope, object_name: str) -> None:
+        self.interp = window.interp
+        self.scope = scope
+        self.function_prototype = window.realm.function_prototype
+        self.object_name = object_name
+        self.originals: Dict[str, PropertyDescriptor] = {}
+
+    def __call__(self, name: str) -> Tuple[ScriptFunction, ScriptFunction]:
+        desc = self.originals.pop(name)
+        interp = self.interp
+        previous_url = interp.current_script_url
+        interp.current_script_url = INSTRUMENT_SCRIPT_URL
+        try:
+            return self._build(name, desc)
+        finally:
+            interp.current_script_url = previous_url
+
+    def _wrapper(self, node: Any, variables: Dict[str, Any]
+                 ) -> ScriptFunction:
+        # function_scope=True keeps each wrapper's closure variables
+        # private instead of hoisting them into the shared injected scope.
+        wrapper_scope = Scope(parent=self.scope, function_scope=True)
+        for var_name, var_value in variables.items():
+            wrapper_scope.declare(var_name, var_value)
+        return ScriptFunction(node, wrapper_scope, self.interp,
+                              lightweight=True)
+
+    def _native(self, fn: Any, name: str) -> NativeFunction:
+        return NativeFunction(fn, name=name, proto=self.function_prototype)
+
+    def _build(self, name: str, desc: PropertyDescriptor
+               ) -> Tuple[ScriptFunction, ScriptFunction]:
+        object_name = self.object_name
+        if desc.is_accessor:
+            original_get = desc.get
+            original_set = desc.set
+            get_native = self._native(
+                lambda i, t, a, g=original_get:
+                g.call(i, t, []) if g is not None else UNDEFINED,
+                "originalGet")
+            set_native = self._native(
+                lambda i, t, a, s=original_set:
+                s.call(i, t, a) if s is not None else UNDEFINED,
+                "originalSet")
+        else:
+            value = desc.value
+            set_native = self._native(lambda i, t, a: UNDEFINED,
+                                      "originalSet")
+            if isinstance(value, JSFunction):
+                call_wrapper = self._wrapper(_CALL_NODE, {
+                    "objectName": object_name, "methodName": name,
+                    "func": value})
+                # Access to the wrapped function itself goes through a
+                # getter; reassignment attempts are recorded via the set
+                # wrapper (the "hooks into setters and getters"
+                # protection, Sec. 5.1.1).
+                return (self._wrapper(_METHOD_GET_NODE,
+                                      {"func": call_wrapper}),
+                        self._wrapper(_SET_NODE, {
+                            "objectName": object_name,
+                            "propertyName": name,
+                            "originalSet": set_native}))
+            get_native = self._native(lambda i, t, a, v=value: v,
+                                      "originalGet")
+        return (self._wrapper(_GET_NODE, {
+                    "objectName": object_name, "propertyName": name,
+                    "originalGet": get_native}),
+                self._wrapper(_SET_NODE, {
+                    "objectName": object_name, "propertyName": name,
+                    "originalSet": set_native}))
+
+
 class JSInstrument:
     """The JavaScript call instrument (content + background halves)."""
 
@@ -180,8 +289,10 @@ class JSInstrument:
         self.targets = targets if targets is not None else DEFAULT_TARGETS
         self.legacy_v010 = legacy_v010
         self.telemetry = coalesce(telemetry)
-        #: Windows where instrumentation could not be installed (CSP).
-        self.failed_windows: List[Any] = []
+        #: URLs of the windows where instrumentation could not be
+        #: installed (CSP). URLs rather than windows, so that a blocked
+        #: window and its realm are freed with its visit.
+        self.blocked_urls: List[str] = []
         #: In-memory record stream (also forwarded to storage, if any).
         self.records: List[JSCallRecord] = []
         #: Per-window wrapped-property counts, for surface accounting.
@@ -206,7 +317,7 @@ class JSInstrument:
         scope = context.run_page_script_with_scope(source,
                                                    INSTRUMENT_SCRIPT_URL)
         if scope is None:
-            self.failed_windows.append(window)
+            self.blocked_urls.append(str(window.url))
             return False
         scope.declare("eventChannelId", event_id)
 
@@ -254,11 +365,12 @@ class JSInstrument:
 
         The wrappers for *every* prototype level are defined onto the
         chain's first prototype (Fig. 2): inherited API surfaces show up
-        as own properties of the first prototype afterwards.
+        as own properties of the first prototype afterwards. The keys,
+        their order, flags and marks are written here; the wrapper
+        functions themselves are built by :class:`_WrapperFactory` when
+        a page first reads the descriptor.
         """
         realm = window.realm
-        base_protos = {realm.object_prototype, realm.function_prototype,
-                       id(None)}
         if target.is_prototype:
             chain = [obj]
             walker = obj.proto
@@ -275,106 +387,30 @@ class JSInstrument:
 
         object_name = target.path.split(".")[0] \
             if not target.is_prototype else target.path.rsplit(".", 2)[0]
+        factory = _WrapperFactory(window, scope, object_name)
+        originals = factory.originals
+        exclude = target.exclude
+        methods_only = target.methods_only
+        shared = window.shared_descriptors if methods_only else None
         installed = 0
         for proto in chain:
-            for name, desc in list(proto.properties.items()):
-                if name in target.exclude or name == "constructor":
+            for name, desc in _candidates(proto.properties, shared):
+                if name in exclude or name == "constructor":
+                    continue
+                if methods_only and not desc.is_accessor \
+                        and not _holds_function(desc):
                     continue
                 if desc.meta.get("openwpm_wrapped"):
                     continue
-                if target.methods_only and not desc.is_accessor \
-                        and not isinstance(desc.value, JSFunction):
-                    continue  # skip the ~2k WebGL constants cheaply
-                wrapped = self._wrap_descriptor(
-                    window, scope, object_name, name, desc,
-                    methods_only=target.methods_only)
-                if wrapped is None:
-                    continue
-                wrapped.meta["openwpm_wrapped"] = True
-                wrapped.meta["openwpm_original"] = desc
-                first.properties[name] = wrapped
+                # A first-level original is replaced below and so out of
+                # the page's reach; an ancestor's stays live on the page,
+                # so its fields are frozen now, as an eager wrap would.
+                originals[name] = desc if proto is first else desc.copy()
+                first.properties[name] = LazyDescriptor(
+                    factory, name, True, enumerable=desc.enumerable,
+                    meta={"openwpm_wrapped": True})
                 installed += 1
         return installed
-
-    def _wrap_descriptor(self, window: Any, scope: Scope, object_name: str,
-                         name: str, desc: PropertyDescriptor,
-                         methods_only: bool
-                         ) -> Optional[PropertyDescriptor]:
-        realm = window.realm
-        interp = window.interp
-
-        def make_wrapper(node, variables: Dict[str, Any]) -> ScriptFunction:
-            # function_scope=True keeps each wrapper's closure variables
-            # private instead of hoisting them into the shared injected
-            # scope.
-            wrapper_scope = Scope(parent=scope, function_scope=True)
-            for var_name, var_value in variables.items():
-                wrapper_scope.declare(var_name, var_value)
-            previous_url = interp.current_script_url
-            interp.current_script_url = INSTRUMENT_SCRIPT_URL
-            try:
-                wrapper = ScriptFunction(node, wrapper_scope, interp,
-                                         lightweight=True)
-            finally:
-                interp.current_script_url = previous_url
-            return wrapper
-
-        if desc.is_accessor:
-            original_get = desc.get
-            original_set = desc.set
-            get_native = NativeFunction(
-                lambda i, t, a, g=original_get:
-                g.call(i, t, []) if g is not None else UNDEFINED,
-                name="originalGet", proto=realm.function_prototype)
-            set_native = NativeFunction(
-                lambda i, t, a, s=original_set:
-                s.call(i, t, a) if s is not None else UNDEFINED,
-                name="originalSet", proto=realm.function_prototype)
-            new_desc = PropertyDescriptor.accessor(
-                get=make_wrapper(_GET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalGet": get_native}),
-                set=make_wrapper(_SET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalSet": set_native}),
-                enumerable=desc.enumerable, configurable=True)
-            return new_desc
-
-        value = desc.value
-        if isinstance(value, JSFunction):
-            call_wrapper = make_wrapper(_CALL_NODE, {
-                "objectName": object_name, "methodName": name,
-                "func": value})
-            # Access to the wrapped function itself goes through a getter;
-            # reassignment attempts are recorded via the set wrapper (the
-            # "hooks into setters and getters" protection, Sec. 5.1.1).
-            set_native = NativeFunction(
-                lambda i, t, a: UNDEFINED, name="originalSet",
-                proto=realm.function_prototype)
-            return PropertyDescriptor.accessor(
-                get=make_wrapper(_METHOD_GET_NODE, {"func": call_wrapper}),
-                set=make_wrapper(_SET_NODE, {
-                    "objectName": object_name, "propertyName": name,
-                    "originalSet": set_native}),
-                enumerable=desc.enumerable, configurable=True)
-
-        if methods_only:
-            return None
-        original_value = value
-        get_native = NativeFunction(
-            lambda i, t, a, v=original_value: v, name="originalGet",
-            proto=realm.function_prototype)
-        set_native = NativeFunction(
-            lambda i, t, a: UNDEFINED, name="originalSet",
-            proto=realm.function_prototype)
-        return PropertyDescriptor.accessor(
-            get=make_wrapper(_GET_NODE, {
-                "objectName": object_name, "propertyName": name,
-                "originalGet": get_native}),
-            set=make_wrapper(_SET_NODE, {
-                "objectName": object_name, "propertyName": name,
-                "originalSet": set_native}),
-            enumerable=desc.enumerable, configurable=True)
 
     # ==================================================================
     # Background end: receiving records

@@ -123,7 +123,7 @@ class TestZeroFootprint:
             [],
             extension=extension,
             csp_header="script-src 'self'; report-uri /csp")
-        assert extension.js_instrument.failed_windows == []
+        assert extension.js_instrument.blocked_urls == []
 
     def test_records_flow_to_storage(self):
         from repro.openwpm.storage import StorageController

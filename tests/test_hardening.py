@@ -126,7 +126,7 @@ class TestRecordingStillWorks:
             ["navigator.platform;"],
             extension=extension,
             csp_header="script-src 'self' 'unsafe-inline'; report-uri /c")
-        assert extension.js_instrument.failed_windows == []
+        assert extension.js_instrument.blocked_urls == []
         assert any(r.symbol == "Navigator.platform"
                    for r in extension.js_instrument.records)
 

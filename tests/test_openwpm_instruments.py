@@ -133,7 +133,7 @@ class TestJSInstrumentFingerprint:
     def test_csp_blocks_installation(self):
         extension, result = instrumented(
             scripts=[], csp_header="script-src 'self'; report-uri /csp")
-        assert extension.js_instrument.failed_windows
+        assert extension.js_instrument.blocked_urls
         assert any(e.request.resource_type == "csp_report"
                    for e in result.exchanges)
 
