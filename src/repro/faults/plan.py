@@ -23,9 +23,6 @@ choke point          injected by
                      callback, after records were produced)
 ``proc.envelope``    process worker, just before shipping the visit
                      envelope to the storage broker
-``proc.resolve``     process worker (shard mode), inside the
-                     provisional window — after the shard_jobs row,
-                     before the queue resolution
 ``proc.respawn``     process supervisor, when respawning a dead worker
 ==================== ===================================================
 

@@ -12,9 +12,9 @@ divergence as a recording-integrity failure.
 Design constraints (set by the multi-process roadmap item the journal
 is built to precede):
 
-* **One file per worker.** Each worker thread writes its own
-  ``epoch-NNNN.<worker>.jsonl`` — no cross-worker lock on the hot path,
-  and the exact on-disk shape a sharded multi-process crawl needs.
+* **One file per worker.** Each worker thread or process writes its
+  own ``epoch-NNNN.<worker>.jsonl`` — no cross-worker lock on the hot
+  path.
 * **Crash-safe, append-only.** Events are written line-by-line and
   flushed at every state-changing event (visit/lease/fault/watchdog);
   high-volume span/metric events ride along in the buffer. A process

@@ -1,311 +1,16 @@
-"""Deterministic merge of per-worker shard databases.
+"""Removed: sharded crawl storage and its merge.
 
-The second half of ``--shard-dbs`` (see
-:mod:`repro.openwpm.storage_shard`): fold N shard databases into the
-canonical crawl database so the result is byte-identical to what the
-single-writer broker path would have produced — same visit ids, same
-AUTOINCREMENT ledger ids, same content first-seen positions, same
-rollup state.
-
-Ordering rules (the whole determinism argument):
-
-1. Attempt rows from every shard are sorted globally by
-   ``(job_id, attempts)`` — the broker applies final verdicts in strict
-   job-id order, and a job's retries precede its final by attempt
-   number. Ties (possible only under supervision races) break by
-   source (worker shards before the coordinator shard), then shard
-   index, then seq — all deterministic inputs.
-2. Among applied *final* rows of one job (complete/terminal), exactly
-   one winner is folded in full: ``complete`` beats ``terminal``, then
-   the higher attempt wins, then the source/shard/seq tiebreak. The
-   queue enforces at most one applied final per job, so a duplicate can
-   only arise from a crash in the provisional window — the winner rule
-   makes even that deterministic, and the loser degrades to a
-   content-only import (content is hash-deduplicated, so this is
-   lossless and idempotent).
-3. Voided rows (``applied = 0`` — the attempt lost its lease race)
-   contribute *only* their content range, mirroring the broker, which
-   discards a voided envelope's visits but never deletes its imported
-   content.
-4. Retry rows (``kind = 'retry'``) are folded in full at their
-   ``(job_id, attempts)`` slot: crash residue of a retried attempt is
-   part of the record, exactly as the broker imports it on arrival.
-
-A merge into a canonical database that already has data (a ``--resume``
-across shard sets) first wipes the raw tables, resets the visit-id and
-AUTOINCREMENT counters, and rebuilds the (empty) rollups — the
-generation moves forward, never back — then folds *all* shard rows from
-scratch. This makes resumed sharded crawls byte-identical to a clean
-inline run of the full site list (a stronger guarantee than the broker
-path, whose resumed row order depends on which jobs ran first);
-``rollups_meta`` alone is volatile across that comparison, as
-documented in :mod:`repro.serve.rollups`.
+Process crawls persist records through the single-writer broker in
+:mod:`repro.sched.procpool`; there are no shard databases to merge.
 """
 
 from __future__ import annotations
 
-import sqlite3
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.openwpm.storage import StorageController
-from repro.openwpm.storage_shard import (
-    read_shard_jobs,
-    resolve_provisional,
-)
+from typing import Any, NoReturn
 
 
-@dataclass
-class MergeReport:
-    """What one merge run folded."""
-
-    shards: int = 0
-    attempts_applied: int = 0
-    attempts_voided: int = 0
-    attempts_unresolved: int = 0
-    attempts_demoted: int = 0
-    visits_imported: int = 0
-    content_rows: int = 0
-    ledger_rows: int = 0
-    wiped: bool = False
-    per_shard: Dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "shards": self.shards,
-            "attempts_applied": self.attempts_applied,
-            "attempts_voided": self.attempts_voided,
-            "attempts_unresolved": self.attempts_unresolved,
-            "attempts_demoted": self.attempts_demoted,
-            "visits_imported": self.visits_imported,
-            "content_rows": self.content_rows,
-            "ledger_rows": self.ledger_rows,
-            "wiped": self.wiped,
-            "per_shard": dict(self.per_shard),
-        }
-
-
-def _order_key(row: Dict[str, Any]) -> Tuple:
-    # Coordinator-shard rows (reclaim terminals) sort after worker rows
-    # at the same (job_id, attempts): a worker's applied verdict is the
-    # one the broker path would have landed.
-    return (int(row["job_id"]), int(row["attempts"]),
-            0 if row["_source"] == "worker" else 1,
-            int(row["_shard"]), int(row["seq"]))
-
-
-def _final_rank(row: Dict[str, Any]) -> Tuple:
-    """Higher tuple wins among applied finals of one job."""
-    return (1 if row["kind"] == "complete" else 0,
-            int(row["attempts"]),
-            1 if row["_source"] == "worker" else 0,
-            -int(row["_shard"]), -int(row["seq"]))
-
-
-def _collect_rows(shard_paths: List[str], queue: Optional[Any],
-                  report: MergeReport) -> List[Dict[str, Any]]:
-    rows: List[Dict[str, Any]] = []
-    for index, path in enumerate(shard_paths):
-        source, shard_rows = read_shard_jobs(path)
-        report.per_shard[path] = len(shard_rows)
-        for row in shard_rows:
-            row["_shard"] = index
-            row["_path"] = path
-            row["_source"] = source
-            if row["applied"] is None:
-                # A worker died inside the provisional window and was
-                # never respawned. With the queue at hand the status is
-                # authoritative; without it, skip — the data rows stay
-                # in the shard and a queue-aware merge can recover them.
-                if queue is not None:
-                    row["applied"] = 1 if resolve_provisional(row, queue) \
-                        else 0
-                else:
-                    report.attempts_unresolved += 1
-                    continue
-            rows.append(row)
-    rows.sort(key=_order_key)
-
-    # Winner rule: at most one applied final per job folds in full.
-    best: Dict[int, Tuple] = {}
-    for row in rows:
-        if row["applied"] and row["kind"] in ("complete", "terminal"):
-            rank = _final_rank(row)
-            if rank > best.get(int(row["job_id"]), ()):
-                best[int(row["job_id"])] = rank
-    for row in rows:
-        if row["applied"] and row["kind"] in ("complete", "terminal") \
-                and _final_rank(row) != best[int(row["job_id"])]:
-            row["_demoted"] = True
-            report.attempts_demoted += 1
-    return rows
-
-
-class _ShardReader:
-    """Range reads against one shard file (read-only)."""
-
-    def __init__(self, path: str) -> None:
-        # Not mode=ro: a SIGKILLed worker leaves a WAL tail whose
-        # recovery needs write access on first open.
-        self.connection = sqlite3.connect(path)
-        self.connection.row_factory = sqlite3.Row
-
-    def visits(self, lo: int, hi: int) -> List[Dict[str, Any]]:
-        out = []
-        for visit_row in self.connection.execute(
-                "SELECT * FROM site_visits WHERE visit_id > ? "
-                "AND visit_id <= ? ORDER BY visit_id", (lo, hi)):
-            tables: Dict[str, List[Tuple]] = {}
-            for table in ("http_requests", "http_responses",
-                          "javascript", "javascript_cookies"):
-                cols = ", ".join(
-                    StorageController._BATCHED_COLUMNS[table])
-                tables[table] = [tuple(r) for r in self.connection.execute(
-                    f"SELECT {cols} FROM {table} "  # noqa: S608
-                    f"WHERE visit_id = ? ORDER BY id",
-                    (visit_row["visit_id"],))]
-            out.append({"visit_id": int(visit_row["visit_id"]),
-                        "browser_id": int(visit_row["browser_id"]),
-                        "site_url": visit_row["site_url"],
-                        "run_label": visit_row["run_label"] or "",
-                        "tables": tables})
-        return out
-
-    def content(self, lo: int, hi: int) -> List[Tuple]:
-        return [tuple(r)[1:] for r in self.connection.execute(
-            "SELECT rowid, content_hash, content, url, content_type "
-            "FROM content WHERE rowid > ? AND rowid <= ? "
-            "ORDER BY rowid", (lo, hi))]
-
-    def ledger(self, table: str, lo: int, hi: int) -> List[Tuple]:
-        cols = ", ".join(StorageController._LEDGER_COLUMNS[table])
-        return [tuple(r) for r in self.connection.execute(
-            f"SELECT {cols} FROM {table} "  # noqa: S608
-            f"WHERE id > ? AND id <= ? ORDER BY id", (lo, hi))]
-
-    def close(self) -> None:
-        self.connection.close()
-
-
-def merge_shards(shard_paths: List[str],
-                 database_path: Optional[str] = None, *,
-                 controller: Optional[Any] = None,
-                 queue: Optional[Any] = None) -> MergeReport:
-    """Fold *shard_paths* into the canonical database.
-
-    Pass either *database_path* (a path this function opens and
-    closes) or an already-open *controller* (the end-of-crawl merge
-    folds straight into the coordinator's manager storage, so the
-    incremental rollups stay generation-identical to the broker path).
-    *queue* lets the merge settle provisional rows left by workers
-    that died and never respawned.
-    """
-    if (database_path is None) == (controller is None):
-        raise ValueError(
-            "merge_shards needs exactly one of database_path or "
-            "controller")
-    report = MergeReport(shards=len(shard_paths))
-    rows = _collect_rows(list(shard_paths), queue, report)
-
-    own_controller = controller is None
-    storage = controller if controller is not None \
-        else StorageController(database_path)
-    readers: Dict[str, _ShardReader] = {}
-    try:
-        if has_data(storage):
-            _wipe(storage)
-            report.wiped = True
-        for row in rows:
-            reader = readers.get(row["_path"])
-            if reader is None:
-                reader = readers[row["_path"]] = \
-                    _ShardReader(row["_path"])
-            content = reader.content(row["content_lo"],
-                                     row["content_hi"])
-            if not row["applied"] or row.get("_demoted"):
-                # Content only: hash-keyed OR IGNORE, position-stable.
-                storage.import_content_rows(content)
-                report.content_rows += len(content)
-                report.attempts_voided += not row["applied"]
-                continue
-            id_map: Dict[int, int] = {}
-            for visit in reader.visits(row["visit_lo"],
-                                       row["visit_hi"]):
-                id_map[visit["visit_id"]] = storage.import_visit(
-                    visit["browser_id"], visit["site_url"],
-                    visit["run_label"], visit["tables"])
-                report.visits_imported += 1
-            storage.import_content_rows(content)
-            report.content_rows += len(content)
-            crash = [(r[0], id_map.get(r[1]), r[2], r[3])
-                     for r in reader.ledger("crash_history",
-                                            row["crash_lo"],
-                                            row["crash_hi"])]
-            storage.import_ledger_rows("crash_history", crash)
-            failed = reader.ledger("failed_visits", row["failed_lo"],
-                                   row["failed_hi"])
-            storage.import_ledger_rows("failed_visits", failed)
-            quarantine = reader.ledger("quarantined_sites",
-                                       row["quarantine_lo"],
-                                       row["quarantine_hi"])
-            storage.import_ledger_rows("quarantined_sites", quarantine)
-            report.ledger_rows += len(crash) + len(failed) \
-                + len(quarantine)
-            report.attempts_applied += 1
-    finally:
-        for reader in readers.values():
-            reader.close()
-        if own_controller:
-            storage.close()
-    return report
-
-
-def has_data(storage: Any) -> bool:
-    """Any raw crawl rows in *storage*? (Also the broker→shard resume
-    guard: resuming a broker-mode crawl in shard mode would wipe these
-    rows and refold only shard data.)"""
-    with storage._lock:
-        storage._flush_locked()
-        for table in ("site_visits", "content", "crash_history",
-                      "failed_visits", "quarantined_sites"):
-            if storage.connection.execute(
-                    f"SELECT 1 FROM {table} LIMIT 1"  # noqa: S608
-            ).fetchone() is not None:
-                return True
-    return False
-
-
-def _wipe(storage: Any) -> None:
-    """Empty the raw tables for a from-scratch re-merge (resume path).
-
-    Visit ids and ledger AUTOINCREMENT counters restart at 1 so the
-    re-fold allocates the same ids a clean run would; the rollups are
-    rebuilt empty with the generation moving forward (stale caches
-    keyed under the old generation can never serve the new state).
-    """
-    from repro.serve import rollups
-
-    with storage._lock:
-        storage._flush_locked()
-        tables = [t for t in storage.TABLES if t != "telemetry"]
-        for table in tables:
-            storage.connection.execute(
-                f"DELETE FROM {table}")  # noqa: S608
-        if storage.connection.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name = 'sqlite_sequence'").fetchone() is not None:
-            storage.connection.executemany(
-                "DELETE FROM sqlite_sequence WHERE name = ?",
-                [(t,) for t in tables])
-        storage._next_visit_id = 1
-        if storage.rollups.enabled:
-            rollups.build(storage.connection)
-            # build() seeds every totals name, zeros included; the
-            # incremental maintainer starting from an empty database
-            # only creates a row when its count first moves. Drop the
-            # zero seeds so the re-folded rollups come out
-            # byte-identical to a clean run's (the generation keeps
-            # its forward bump either way).
-            storage.connection.execute(
-                "DELETE FROM rollups_totals WHERE value = 0")
-        storage.connection.commit()
+# Kept only as the ``openwpm.merge`` layer target in perfbench/layers.py.
+def merge_shards(*args: Any, **kwargs: Any) -> NoReturn:
+    raise RuntimeError(
+        "sharded crawl storage was removed; process crawls write "
+        "through the single-writer broker and need no merge")

@@ -244,6 +244,10 @@ class TestServeCommand:
         assert args.extra == []
 
     def test_parser_accepts_fanout_paths(self):
+        # The parser still collects extra positionals (``serve build``
+        # and ``serve verify`` take their database there); a plain
+        # ``serve`` with more than one database is refused by the
+        # command, not by argparse.
         args = build_parser().parse_args(["serve", "a.db", "b.db",
                                           "c.db"])
         assert args.db == "a.db"
@@ -262,11 +266,37 @@ class TestServeCommand:
         assert "needs exactly one database path" in captured.err
 
     def test_rejects_missing_fanout_member(self, crawl_db, capsys):
-        # Extra positionals are fan-out members now; each must exist.
+        # Serving several databases is gone: a second path is refused
+        # whether or not it exists, before anything is opened.
         code = main(["serve", crawl_db, "whatever"])
         captured = capsys.readouterr()
         assert code == 2
-        assert "no crawl database at 'whatever'" in captured.err
+        assert "unexpected argument(s) 'whatever'" in captured.err
+        assert captured.out == ""
+
+    def test_removed_multi_database_forms_are_usage_errors(self,
+                                                           capsys):
+        # One database per server and one process write path: serving
+        # several databases, sharded storage, CPU pinning and the
+        # shard merge are gone.
+        for argv, message in (
+                (["serve", "a.db", "b.db"], "unexpected argument"),
+                (["crawl", "--worker-procs", "2", "--shard-dbs"],
+                 "unrecognized arguments: --shard-dbs"),
+                (["crawl", "--worker-procs", "2", "--pin-cpus"],
+                 "unrecognized arguments: --pin-cpus"),
+                (["scan", "--worker-procs", "2", "--shard-dbs"],
+                 "unrecognized arguments: --shard-dbs"),
+                (["merge", "a.sqlite.shards", "out.sqlite"],
+                 "invalid choice: 'merge'")):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert message in captured.err, (argv, captured.err)
+            assert captured.out == "", argv
 
     def test_build_then_verify_roundtrip(self, crawl_db, capsys):
         code, out = run_cli(capsys, ["serve", "build", crawl_db])

@@ -12,29 +12,35 @@ import json
 import os
 import sqlite3
 import threading
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs.runner import run_telemetry_crawl
 from repro.serve import ResultServer, ServeError, verify
-from repro.serve.api import json_get
+from repro.serve.api import etag_for, json_get
 
 
 def decode(response):
     return json.loads(response.body.decode("utf-8"))
 
 
+@pytest.fixture(scope="module")
+def crawl_db(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("serve-api")
+    db_path = str(tmp / "crawl.db")
+    result = run_telemetry_crawl(
+        site_count=8, seed=7, database_path=db_path,
+        crash_probability=0.0, browsers=1, web="lab")
+    result.close()
+    return db_path
+
+
 class TestEndpoints:
     @pytest.fixture(scope="class")
-    def server(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("serve-api")
-        db_path = str(tmp / "crawl.db")
-        result = run_telemetry_crawl(
-            site_count=8, seed=7, database_path=db_path,
-            crash_probability=0.0, browsers=1, web="lab")
-        result.close()
-        server = ResultServer(db_path)
+    def server(self, crawl_db):
+        server = ResultServer(crawl_db)
         yield server
         server.close()
 
@@ -131,6 +137,69 @@ class TestEndpoints:
             response = server.respond("/aggregates/totals")
             assert response.status == 200
             assert decode(response)["totals"]["site_visits"] == 4
+        finally:
+            server.close()
+
+
+class TestConditionalRequests:
+    """The ETag is the rollup generation, so ``If-None-Match`` turns a
+    repeat poll into an empty 304 whenever no crawl data changed."""
+
+    @pytest.fixture(scope="class")
+    def server(self, crawl_db):
+        server = ResultServer(crawl_db)
+        yield server
+        server.close()
+
+    def test_etag_formats(self):
+        assert etag_for(5) == '"g5"'
+
+    def test_if_none_match_returns_empty_304(self, server):
+        first = server.respond("/sites")
+        assert first.status == 200
+        assert first.etag == etag_for(first.generation)
+        before = server.metrics.counter_value("serve_not_modified_total")
+        again = server.respond("/sites", "", first.etag)
+        assert again.status == 304
+        assert again.body == b""
+        assert again.etag == first.etag
+        assert server.metrics.counter_value(
+            "serve_not_modified_total") == before + 1
+
+    def test_stale_etag_gets_full_response(self, server):
+        first = server.respond("/sites")
+        response = server.respond("/sites", "", '"g0"')
+        assert response.status == 200
+        assert response.body == first.body
+
+    def test_not_modified_does_not_populate_cache(self, server):
+        etag = server.respond("/aggregates/cookies").etag
+        server.cache.clear()
+        misses = server.cache.stats()["misses"]
+        response = server.respond("/aggregates/cookies", "", etag)
+        assert response.status == 304
+        # The 304 short-circuits before the cache: no lookup, no fill.
+        assert server.cache.stats()["misses"] == misses
+        assert len(server.cache) == 0
+
+    def test_http_transport_conditional_roundtrip(self, crawl_db):
+        server = ResultServer(crawl_db)
+        try:
+            port = server.start()
+            url = f"http://127.0.0.1:{port}/aggregates/totals"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                etag = response.headers["ETag"]
+                generation = response.headers["X-Rollup-Generation"]
+                payload = json.loads(response.read())
+            assert etag == etag_for(int(generation))
+            assert payload["totals"]["site_visits"] == 8
+            request = urllib.request.Request(
+                url, headers={"If-None-Match": etag})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+            assert excinfo.value.code == 304
+            assert excinfo.value.headers["ETag"] == etag
+            assert excinfo.value.read() == b""
         finally:
             server.close()
 
